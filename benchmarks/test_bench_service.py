@@ -3,7 +3,7 @@
 A mixed 32-request batch (evaluate / refine / lowest-k / sweep, two rules,
 two solvers) over four datasets is executed twice: once through the
 :class:`InlineExecutor` (the determinism baseline) and once through a
-4-worker :class:`PooledExecutor`.  The payloads must be bit-identical;
+4-worker pool (``create_executor(workers=4)``).  The payloads must be bit-identical;
 the wall-clock ratio is recorded as ``extra_info["speedup"]`` (worker
 startup and per-worker dataset builds are *included* in the pooled time —
 this is the honest cold-start number a service operator would see).
@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.service import InlineExecutor, PooledExecutor, plan_batch, parse_request
+from repro.service import InlineExecutor, create_executor, plan_batch, parse_request
 
 
 def service_batch(n=32):
@@ -60,7 +60,7 @@ def test_bench_batch_pool_vs_inline(benchmark, capsys):
     assert all(envelope["ok"] for envelope in inline_envelopes)
 
     def pooled_run():
-        with PooledExecutor(workers=4) as pool:
+        with create_executor(workers=4) as pool:
             return pool.execute(batch)
 
     pooled_start = time.perf_counter()

@@ -5,11 +5,11 @@ Starts ``repro serve`` as a real subprocess on an ephemeral port, drives
 it over HTTP the way a client would, and fails (non-zero exit) on any
 non-200 response or on payload drift against an in-process
 :class:`repro.service.InlineExecutor` answering the same requests.  The
-full drive runs twice — against the threaded server and against ``repro
-serve --async`` — and a third, shorter round checks the async front-end
-over an elastic ``--min-workers 1 --max-workers 2`` pool (admission
-section in ``/v1/stats``, elastic executor stats, batch determinism).
-CI runs this as its service job; locally::
+full drive runs against an inline ``repro serve``; a second, shorter
+round checks an autoscaling ``--workers 1 --max-workers 2`` pool
+(admission section in ``/v1/stats``, elastic executor stats, batch
+determinism) and passes the no-op ``--async`` flag old command lines
+still use.  CI runs this as its service job; locally::
 
     PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -20,6 +20,7 @@ import http.client
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -140,9 +141,11 @@ def _spawn_server(env, *extra_args):
 
 
 def _stop_server(server) -> None:
-    server.terminate()
+    # SIGINT lets the server close its pool; a SIGTERM'd server would
+    # leave its worker processes orphaned.
+    server.send_signal(signal.SIGINT)
     try:
-        server.wait(timeout=10)
+        server.wait(timeout=30)
     except subprocess.TimeoutExpired:
         server.kill()
 
@@ -233,7 +236,7 @@ def run_drive(base, label) -> None:
 
 
 def run_elastic_round(base) -> None:
-    """The async+elastic specifics: admission stats, elastic executor, batch."""
+    """The pool specifics: admission stats, elastic executor, batch."""
     from repro.service import InlineExecutor
 
     stats = call(base, "/v1/stats")
@@ -265,26 +268,21 @@ def main() -> int:
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     sys.path.insert(0, src)
 
-    rounds = [
-        ("threaded", ()),
-        ("async", ("--async",)),
-    ]
-    for label, extra_args in rounds:
-        server, base = _spawn_server(env, *extra_args)
-        try:
-            run_drive(base, label)
-        finally:
-            _stop_server(server)
+    server, base = _spawn_server(env)
+    try:
+        run_drive(base, "inline")
+    finally:
+        _stop_server(server)
 
     server, base = _spawn_server(
-        env, "--async", "--min-workers", "1", "--max-workers", "2"
+        env, "--async", "--workers", "1", "--max-workers", "2"
     )
     try:
         run_elastic_round(base)
     finally:
         _stop_server(server)
 
-    print("service smoke OK (threaded + async + elastic)")
+    print("service smoke OK (inline + elastic)")
     return 0
 
 

@@ -23,7 +23,7 @@ The package provides:
   decision procedure, highest-θ / lowest-k searches and a greedy baseline;
 * a batch/HTTP service layer (:mod:`repro.service`): a JSONL wire codec,
   a dependency-aware batch executor with a multiprocess worker pool, and
-  a stdlib HTTP front-end (``repro serve`` / ``repro batch``);
+  a stdlib asyncio HTTP front-end (``repro serve`` / ``repro batch``);
 * a persistence layer (:mod:`repro.storage`): relational property tables
   and versioned binary dataset snapshots for zero-rebuild warm starts
   (``Dataset.save``/``Dataset.load``, ``repro snapshot build/inspect``);
@@ -76,7 +76,6 @@ _LAZY_EXPORTS = {
     "WatchSession": "repro.api",
     "WatchEvent": "repro.api",
     "InlineExecutor": "repro.service",
-    "PooledExecutor": "repro.service",
     "Telemetry": "repro.telemetry",
 }
 
@@ -98,7 +97,6 @@ __all__ = [
     "WatchSession",
     "WatchEvent",
     "InlineExecutor",
-    "PooledExecutor",
     "Telemetry",
 ]
 

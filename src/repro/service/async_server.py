@@ -1,13 +1,13 @@
-"""An asyncio HTTP front-end with admission control and elastic workers.
+"""The HTTP front-end: asyncio, with admission control and streaming.
 
-This is the service tier built for traffic: the same routes and envelope
-contract as the threaded :mod:`repro.service.server` (the HTTP test
-suite runs against both), served by a single-threaded asyncio event loop
-that multiplexes thousands of connections, in front of the same
-executors — inline, fixed pool, or the elastic autoscaling pool from
-:mod:`repro.service.elastic`.
-
-What the async tier adds over the threaded server:
+``repro serve`` runs this server (its ``--async`` flag is accepted and
+changes nothing).  It owns request framing only: every route is
+answered by the transport-independent
+:class:`~repro.service.server.StructurednessService` (whose module
+docstring lists the routes and envelopes), in front of one executor —
+inline for one worker, the :mod:`repro.service.elastic` worker pool
+above.  A single-threaded asyncio event loop multiplexes the
+connections and adds:
 
 * **Request admission and queueing.**  Compute requests (the ``POST
   /v1/*`` routes) enter a bounded pending queue (``pending_limit``).
@@ -29,24 +29,26 @@ What the async tier adds over the threaded server:
   writer.drain()``); ``POST /v1/watch`` streams watch events with the
   same flow control.  A failure after the headers went out is framed as
   a terminal ``{"kind": "error", ...}`` line, never a second status line.
-* **Elastic workers.**  With ``min_workers``/``max_workers`` the
-  executor autoscales worker processes on queue depth, booting from the
-  snapshot store and draining idle workers gracefully; scale events are
-  counted in telemetry and served over ``GET /v1/metrics``.
+* **Worker pool.**  With ``workers``/``max_workers`` the executor runs
+  worker processes that boot from the snapshot store and replay the
+  mutation log; a ceiling above the floor makes it autoscale on queue
+  depth, and scale events are counted in telemetry and served over
+  ``GET /v1/metrics``.
 
-Responses carry the same envelope extras as the threaded server
-(``request_id`` + ``X-Request-Id``, ``server_time_ms``) and the same
-status mapping (structured 400s via
+Responses carry ``request_id`` + ``X-Request-Id`` and
+``server_time_ms``; statuses map to structured 400s via
 :func:`repro.service.wire.error_result`, 404 for unknown routes, 411 for
-``Transfer-Encoding`` bodies, 500 with an envelope for the unexpected).
-Every connection is served ``Connection: close``: one request, one
-response (or one stream), EOF as the end-of-stream marker.
+``Transfer-Encoding`` bodies, 429 on admission overflow and 500 with an
+envelope for the unexpected.  Every connection is served ``Connection:
+close``: one request, one response (or one stream), EOF as the
+end-of-stream marker.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -56,10 +58,13 @@ from repro import __version__
 from repro.exceptions import ReproError, RequestError
 from repro.service.executor import BatchExecutor, create_executor
 from repro.service.registry import DatasetSpec
-from repro.service.server import StructurednessService, _JSON, _NDJSON
+from repro.service.server import StructurednessService
 from repro.service.wire import MUTATING_OPS, OPS, error_result
 
 __all__ = ["AsyncServiceServer", "make_async_server", "serve_async"]
+
+_JSON = "application/json"
+_NDJSON = "application/x-ndjson"
 
 _REASONS = {
     200: "OK",
@@ -109,7 +114,7 @@ class AsyncServiceServer:
     The server owns its event loop.  :meth:`start` runs the loop on a
     background thread and returns once the socket is bound (handy for
     tests and embedding); :meth:`wait` blocks until :meth:`close` — the
-    ``repro serve --async`` path.  ``url`` reports the bound address,
+    ``repro serve`` path.  ``url`` reports the bound address,
     which makes ``port=0`` ephemeral binds usable.
     """
 
@@ -254,8 +259,8 @@ class AsyncServiceServer:
             headers[name.strip().lower()] = value.strip()
         encoding = headers.get("transfer-encoding", "").strip().lower()
         if encoding:
-            # Same contract as the threaded server: name the unsupported
-            # encoding instead of silently reading an empty body.
+            # Name the unsupported encoding instead of silently reading an
+            # empty body (which would surface as a misleading 400).
             raise _client_error(411, RequestError(
                 f"Transfer-Encoding {encoding!r} is not supported; "
                 "send the body with a Content-Length header"
@@ -302,13 +307,15 @@ class AsyncServiceServer:
         ) + extra_headers)
         writer.write(body)
         await writer.drain()
-        self._account(status)
+        self._account(status, request_id)
 
-    def _account(self, status: int) -> None:
-        """Mirror the threaded server's per-response counters."""
+    def _account(self, status: int, request_id: str) -> None:
+        """Count one response; with ``verbose``, also print its access-log line."""
         self.service._count(200 <= status < 400)
         self.service.telemetry.incr(f"http.status.{status // 100}xx")
         self.service.telemetry.incr("http.access_log_lines")
+        if self.verbose:
+            print(f"[{request_id}] {status}", file=sys.stderr, flush=True)
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -580,7 +587,7 @@ class AsyncServiceServer:
             status = 499  # client went away; count as an error response
             self.service.telemetry.incr("http.client_disconnects")
         finally:
-            self._account(status)
+            self._account(status, request_id)
             # Let the producer finish (envelopes it still pushes are
             # consumed and discarded) so its thread is not leaked.
             while not producer.done():
@@ -599,8 +606,7 @@ class AsyncServiceServer:
         Polls run on the bridge thread pool; every line is followed by
         ``await drain()`` so a slow consumer pauses the stream instead of
         growing an unbounded buffer.  Mid-stream failures are framed as a
-        terminal ``{"kind": "error", ...}`` line, exactly like the
-        threaded server after its hardening.
+        terminal ``{"kind": "error", ...}`` line.
         """
         # Setup errors (bad body, pooled executor) map to a 400 envelope
         # upstream because nothing has been written yet.
@@ -655,7 +661,7 @@ class AsyncServiceServer:
                 pass
         finally:
             watch.close()
-            self._account(status)
+            self._account(status, request_id)
 
 
 def make_async_server(
@@ -675,7 +681,7 @@ def make_async_server(
 
     ``workers``/``max_workers`` size the executor exactly as
     :func:`repro.service.executor.create_executor` does: inline for 1,
-    fixed pool for N, the elastic autoscaling pool when ``max_workers``
+    a worker pool of N above, autoscaling up to ``max_workers`` when that
     exceeds ``workers``.  Call :meth:`AsyncServiceServer.start` (binds on
     a background thread, returns once listening) or
     :meth:`~AsyncServiceServer.serve_forever`.
@@ -704,7 +710,7 @@ def serve_async(
     pending_limit: int = 64,
     concurrency: Optional[int] = None,
 ) -> int:
-    """Run the async HTTP service until interrupted (``repro serve --async``)."""
+    """Run the HTTP service until interrupted (the ``repro serve`` command)."""
     server = make_async_server(
         host, port, workers=workers, max_workers=max_workers,
         solver_time_limit=solver_time_limit, verbose=verbose, jobs=jobs,

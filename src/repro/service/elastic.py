@@ -1,12 +1,19 @@
-"""An elastic multiprocessing worker pool: autoscaling on queue depth.
+"""The multiprocessing worker pool: fixed-size or autoscaling on queue depth.
 
-:class:`ElasticPoolExecutor` serves the same contract as
-:class:`~repro.service.pool.PooledExecutor` — batch groups fan out over
-long-lived worker processes, each holding an
-:class:`~repro.service.executor.InlineExecutor` (and through it a
-:class:`~repro.service.registry.DatasetRegistry` plus a session cache) —
-but the worker count is *elastic*: a scaler thread watches the backlog of
-unfinished jobs and
+:class:`ElasticPoolExecutor` fans batch groups out over long-lived worker
+processes, each holding an :class:`~repro.service.executor.InlineExecutor`
+(and through it a :class:`~repro.service.registry.DatasetRegistry` plus
+a session cache) created at boot and kept for the worker's lifetime.  A
+job is one batch *group* (requests sharing a dataset, rule and solver);
+the graph → matrix → signature-table chain for a dataset is therefore
+built at most once per worker, and jobs only ship scalar data across the
+process boundary: wire dicts out, result envelopes back.
+
+The worker count lies between ``min_workers`` and ``max_workers``.  With
+``min_workers == max_workers`` (what :func:`~repro.service.executor.create_executor`
+builds for ``workers=N``) the pool is fixed-size and no scaler thread
+runs.  Otherwise a scaler thread watches the backlog of unfinished jobs
+and
 
 * **scales up** towards ``max_workers`` whenever jobs are queued faster
   than the live workers drain them, and
@@ -18,17 +25,34 @@ unfinished jobs and
 Elasticity is practical because worker boot is nearly free when dataset
 specs are snapshot-backed: a fresh worker's registry reopens the
 persisted artifact chain via ``{"snapshot": path}`` specs in ~0.1 s
-instead of re-parsing and rebuilding (the PR 5 warm start), so spawning
-for a traffic burst and draining afterwards costs almost nothing.
+instead of re-parsing and rebuilding, so spawning for a traffic burst
+and draining afterwards costs almost nothing.
 
-Determinism: workers are anonymous and pull jobs off one shared queue,
-so the same ordered *mutation log* scheme as the fixed pool applies —
-every job ships the ``(seq, wire dict)`` history and a worker replays the
-entries it has not folded yet before touching the job (the shared
-:func:`repro.service.pool._apply_job` helper).  A worker booted
+Determinism: a group always runs in submission order inside one worker's
+session, exactly as :class:`~repro.service.executor.InlineExecutor` runs
+it in-process.  Workers are anonymous and pull jobs off one shared
+queue, so the executor keeps an ordered *mutation log* (one entry per
+graph-changing ``mutate`` request): every job ships the ``(seq, wire
+dict)`` history and a worker replays the entries it has not folded yet
+before touching the job (:func:`_apply_job`).  A worker booted
 mid-traffic therefore converges on exactly the state every older worker
 has, and payloads stay bit-identical to inline execution whichever — and
 however many — workers served them.
+
+Deliberate trade-off: the full log ships with every job (the executor
+cannot know which entries a given anonymous worker still needs), making
+per-job overhead linear in the number of mutations applied over the
+pool's lifetime.
+
+Known corner of the bit-identity invariant: the ``cached`` flag (only)
+of a refinement repeated *within one batch* across a **no-op** mutation
+of its own dataset is worker-placement-dependent — the repeat lands in
+a later wave whose job may reach a worker with a cold session cache,
+while the inline executor's single warm session reports ``cached:
+true`` (a graph-changing mutation invalidates both sides identically,
+so only no-op mutations expose this).  Every other payload field stays
+bit-identical; exact parity here needs addressable workers (consistent
+group→worker routing), which one shared job queue cannot express.
 
 Scale events are counted in the executor's always-on
 :class:`~repro.telemetry.Telemetry` (``scale.up`` / ``scale.down`` /
@@ -39,7 +63,7 @@ over ``GET /v1/metrics``.
 :meth:`close` is graceful by construction: drain sentinels queue
 *behind* any in-flight jobs, so accepted work completes before the
 workers exit; only workers that overrun ``drain_timeout`` are escalated
-to ``terminate()``.
+to ``terminate()`` (counted as ``scale.forced_terminations``).
 """
 
 from __future__ import annotations
@@ -51,14 +75,50 @@ from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple
 
 from repro.service.executor import BatchExecutor, BatchGroup, InlineExecutor
-from repro.service.pool import _apply_job
-from repro.service.wire import ServiceRequest
+from repro.service.wire import ServiceRequest, parse_request
 from repro.telemetry import Telemetry, current as current_telemetry
 
 __all__ = ["ElasticPoolExecutor"]
 
 #: Sentinel a worker interprets as "finish the current job, then exit".
 _DRAIN = None
+
+
+def _apply_job(
+    executor: InlineExecutor, applied_seq: int, payload: Dict[str, object]
+) -> Tuple[List[Dict[str, object]], int]:
+    """Catch up on the mutation log, then run one group on ``executor``.
+
+    ``payload`` carries the group's wire dicts plus the mutation log as
+    ``(seq, wire dict)`` pairs; entries with a sequence number beyond
+    ``applied_seq`` are replayed into the executor's registry (their
+    envelopes are discarded — the phase that originated a mutation
+    already produced its envelope).  ``payload["applied_seq"]`` marks the
+    group itself as a mutation so the executing worker does not replay it
+    again later: replaying a remove-then-insert of the same triple twice
+    would count spurious changes and skew the generation counter.
+
+    Returns ``(result envelopes, new applied_seq)``.
+    """
+    for seq, mutation in payload.get("mutations", ()):
+        if seq > applied_seq:
+            [replayed] = executor.run_group([parse_request(mutation)])
+            if not replayed.get("ok"):
+                # Only environmental failures can land here (the original
+                # mutation succeeded elsewhere, and validated mutations are
+                # total): fail the job loudly rather than skip the entry —
+                # a worker that silently misses a mutation would serve
+                # diverging answers forever.
+                raise RuntimeError(
+                    f"pool worker failed to replay mutation #{seq}: "
+                    f"{replayed.get('error')}"
+                )
+            applied_seq = seq
+    results = executor.run_group([parse_request(d) for d in payload["requests"]])
+    applied = payload.get("applied_seq")
+    if applied is not None:
+        applied_seq = max(applied_seq, applied)
+    return results, applied_seq
 
 
 def _elastic_worker_main(
@@ -96,7 +156,8 @@ class ElasticPoolExecutor(BatchExecutor):
         The floor: the pool never drains below this many workers (booted
         lazily on first use).
     max_workers:
-        The ceiling the scaler may grow to under backlog.
+        The ceiling the scaler may grow to under backlog.  Equal to
+        ``min_workers``, the pool is fixed-size and runs no scaler thread.
     solver_time_limit:
         Forwarded to every worker's session construction.
     start_method:
@@ -149,8 +210,11 @@ class ElasticPoolExecutor(BatchExecutor):
         self.telemetry = Telemetry(enabled=True)
         # Guards every piece of mutable pool state below.
         self._lock = threading.Lock()
-        # Serialises whole mutations (seq allocation → apply → log append),
-        # exactly as in PooledExecutor: the log must grow in sequence order.
+        # Serialises whole mutations (seq allocation → apply → log append).
+        # Without it, two concurrent mutations could append to the log in
+        # completion order rather than sequence order, and a worker that
+        # replays the higher sequence first would skip the lower one
+        # forever — workers would silently diverge.
         self._mutation_lock = threading.Lock()
         self._mutation_log: List[Tuple[int, Dict[str, object]]] = []
         self._mutation_seq = 0
@@ -188,10 +252,11 @@ class ElasticPoolExecutor(BatchExecutor):
                 target=self._collect, name="elastic-collector", daemon=True
             )
             self._collector.start()
-            self._scaler = threading.Thread(
-                target=self._autoscale, name="elastic-scaler", daemon=True
-            )
-            self._scaler.start()
+            if self.max_workers > self.min_workers:
+                self._scaler = threading.Thread(
+                    target=self._autoscale, name="elastic-scaler", daemon=True
+                )
+                self._scaler.start()
             for _ in range(self.min_workers):
                 self._spawn_locked()
 
@@ -227,7 +292,11 @@ class ElasticPoolExecutor(BatchExecutor):
                 with self._lock:
                     process = self._workers.pop(key, None)
                     self._draining = max(0, self._draining - 1)
-                if process is not None:
+                    # close() joins the workers it drains itself.  Two
+                    # threads reaping one process race in waitpid, and the
+                    # loser sees the exited worker as alive and kills it.
+                    closing = self._closing
+                if process is not None and not closing:
                     process.join(timeout=5)
                 self.telemetry.incr("scale.worker_drains")
                 current_telemetry().incr("scale.worker_drains")
@@ -305,10 +374,12 @@ class ElasticPoolExecutor(BatchExecutor):
     def _execute_mutation(self, request: ServiceRequest) -> Dict[str, object]:
         """Run a mutation on one worker and append it to the shared log.
 
-        Identical to the fixed pool: the executing worker catches up on the
-        prior log, applies the mutation, marks it applied; every other
-        worker — including any booted later — replays it from the log
-        before its next job.  No-op mutations stay out of the log.
+        The executing worker catches up on the prior log, applies the
+        mutation, marks it applied; every other worker — including any
+        booted later — replays it from the log before its next job.
+        Failed mutations (e.g. a dataset with no graph stage) fail
+        identically in every process, and no-op mutations leave every
+        copy's generation unchanged, so neither enters the log.
         """
         self._ensure_started()
         with self._mutation_lock:

@@ -1,6 +1,9 @@
-"""A stdlib HTTP front-end over the batch executor.
+"""The transport-independent request handling behind the HTTP routes.
 
-Routes (all payloads JSON):
+:class:`StructurednessService` owns the executor and the service
+counters, and answers every route of the HTTP front-end in
+:mod:`repro.service.async_server`, which only frames requests and
+responses.  Routes (all payloads JSON):
 
 * ``POST /v1/evaluate`` / ``/v1/refine`` / ``/v1/lowest_k`` / ``/v1/sweep``
   — one wire request body (the ``op`` field is implied by the path); the
@@ -25,7 +28,7 @@ Routes (all payloads JSON):
   inline mode that includes one entry per session with its resolved
   solver backend and cache-hit/solver-call counts; in pooled mode the
   per-session detail lives in the workers and the stats report the
-  pool-level view (worker count, jobs dispatched).
+  pool-level view (worker counts, jobs dispatched, mutations logged).
 * ``GET /v1/metrics`` — a deterministic JSON snapshot of the
   observability spine: the service's always-on telemetry (HTTP status
   counters, watch-stream counters) plus the process-wide
@@ -43,43 +46,27 @@ Routes (all payloads JSON):
 Every response envelope carries a per-request ``request_id`` (also the
 ``X-Request-Id`` header) and ``server_time_ms``; both live at the
 envelope's top level, so the deterministic ``result`` payloads stay
-bit-identical across transports.  4xx/5xx responses are counted in the
-service telemetry even when the access log is quiet (``--verbose`` off).
-
-Malformed requests (unknown op/rule/dataset/solver, out-of-range θ or k)
-map to structured ``400`` bodies via :func:`repro.service.wire.error_result`
-— never a traceback; unexpected failures map to ``500`` with the same
-shape.  The server is a ``ThreadingHTTPServer``: the locks on ``Dataset``
-and ``StructurednessSession`` make concurrent requests against shared
-sessions safe.
+bit-identical across executors.  Malformed requests (unknown
+op/rule/dataset/solver, out-of-range θ or k) map to structured ``400``
+bodies via :func:`repro.service.wire.error_result` — never a traceback.
+The locks on ``Dataset`` and ``StructurednessSession`` make concurrent
+requests against shared sessions safe.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
-from repro import __version__
 from repro.api.dataset import builtin_dataset_names
 from repro.exceptions import ReproError, RequestError
 from repro.service.executor import BatchExecutor, create_executor
 from repro.service.registry import DatasetSpec
-from repro.service.wire import OPS, error_result, parse_request
+from repro.service.wire import error_result, parse_request
 from repro.telemetry import Telemetry, current as current_telemetry
 
-__all__ = ["StructurednessService", "ServiceServer", "make_server", "serve"]
-
-_JSON = "application/json"
-_NDJSON = "application/x-ndjson"
-
-
-class _UnsupportedTransferEncoding(RequestError):
-    """A request body arrived with a Transfer-Encoding the server cannot
-    decode (maps to ``411 Length Required`` instead of the generic 400)."""
+__all__ = ["StructurednessService"]
 
 
 class StructurednessService:
@@ -266,257 +253,3 @@ class StructurednessService:
     def close(self) -> None:
         """Shut the underlying executor down."""
         self.executor.close()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    # Derived from the package version so releases cannot drift it.
-    server_version = f"repro-structuredness/{'.'.join(__version__.split('.')[:2])}"
-    protocol_version = "HTTP/1.1"
-
-    @property
-    def service(self) -> StructurednessService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def _begin_request(self) -> None:
-        """Stamp the request with its id and start time (once per request)."""
-        self._request_id = self.service.next_request_id()
-        self._started = time.perf_counter()
-        # Set once a status line has been sent: after that point an error
-        # must never try to send a second response on the same connection.
-        self._response_started = False
-
-    def log_message(self, format: str, *args) -> None:
-        # The access log is *always* routed through the service telemetry
-        # (so quiet servers still count their traffic); printing to stderr
-        # stays opt-in via --verbose.  Request ids make lines greppable
-        # against the envelopes clients saw.
-        self.service.telemetry.incr("http.access_log_lines")
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            request_id = getattr(self, "_request_id", "-")
-            super().log_message(f"[{request_id}] {format}", *args)
-
-    def _respond(self, status: int, payload: Dict[str, object]) -> None:
-        request_id = getattr(self, "_request_id", None) or self.service.next_request_id()
-        started = getattr(self, "_started", None)
-        elapsed_ms = (
-            round((time.perf_counter() - started) * 1000.0, 3) if started is not None else 0.0
-        )
-        payload = dict(payload, request_id=request_id, server_time_ms=elapsed_ms)
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._response_started = True
-        self.send_response(status)
-        self.send_header("Content-Type", _JSON)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(body)
-        self.service._count(200 <= status < 400)
-        # 4xx/5xx are counted here unconditionally — the satellite fix for
-        # the access log being dropped unless --verbose.
-        self.service.telemetry.incr(f"http.status.{status // 100}xx")
-
-    def _read_body(self) -> bytes:
-        # A chunked request carries no Content-Length; silently reading an
-        # empty body here used to surface as a misleading "needs a
-        # 'dataset' spec" 400.  Name the unsupported encoding instead.
-        encoding = (self.headers.get("Transfer-Encoding") or "").strip().lower()
-        if encoding:
-            raise _UnsupportedTransferEncoding(
-                f"Transfer-Encoding {encoding!r} is not supported; "
-                "send the body with a Content-Length header"
-            )
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._begin_request()
-        if self.path == "/v1/datasets":
-            self._respond(*self.service.handle_datasets())
-        elif self.path == "/v1/stats":
-            self._respond(*self.service.handle_stats())
-        elif self.path == "/v1/metrics":
-            self._respond(*self.service.handle_metrics())
-        elif self.path == "/healthz":
-            self._respond(200, {"ok": True})
-        else:
-            self._respond(404, {"ok": False, "error": {"type": "NotFound", "message": self.path}})
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        self._begin_request()
-        try:
-            raw = self._read_body()
-            content_type = (self.headers.get("Content-Type") or _JSON).split(";")[0].strip()
-            ndjson = content_type in (_NDJSON, "application/jsonl", "text/plain")
-            if not self.path.startswith("/v1/"):
-                self._respond(
-                    404, {"ok": False, "error": {"type": "NotFound", "message": self.path}}
-                )
-                return
-            route = self.path[len("/v1/"):]
-            if route == "batch":
-                body = raw.decode("utf-8") if ndjson else json.loads(raw or b"{}")
-                self._respond(*self.service.handle_batch(body, ndjson=ndjson))
-            elif route == "watch":
-                body = json.loads(raw or b"{}")
-                self._stream_watch(body)
-            elif route in OPS:
-                body = json.loads(raw or b"{}")
-                if not isinstance(body, dict):
-                    raise RequestError("the request body must be a JSON object")
-                self._respond(*self.service.handle_op(route, body))
-            else:
-                self._respond(
-                    404, {"ok": False, "error": {"type": "NotFound", "message": self.path}}
-                )
-        except json.JSONDecodeError as error:
-            self._respond(400, error_result(RequestError(f"body is not valid JSON: {error}")))
-        except _UnsupportedTransferEncoding as error:
-            self._respond(411, dict(error_result(error), status=411))
-        except ReproError as error:
-            self._respond(400, error_result(error))
-        except Exception as error:  # pragma: no cover - defensive 500
-            if self._response_started:
-                # The status line is gone (a streaming route failed after
-                # its headers); a second send_response would corrupt the
-                # connection.  The streaming routes already framed their
-                # own terminal error, so there is nothing left to send.
-                return
-            self._respond(500, error_result(error))
-
-    def _stream_watch(self, body: object) -> None:
-        """``POST /v1/watch``: stream JSONL WatchEvents until done.
-
-        The response has no Content-Length — the connection closes when
-        ``max_events`` events were streamed or ``duration_s`` elapsed,
-        which is how JSONL consumers detect the end.  Heartbeat lines
-        keep the stream visibly alive between mutations.  Setup errors
-        (bad body, pooled executor) surface as normal 400 envelopes
-        before any streaming starts; a failure *after* the headers went
-        out is framed as a terminal ``{"kind": "error", ...}`` JSONL line
-        (the HTTP status is already on the wire, so a 500 envelope would
-        corrupt the response) and the connection closes.
-        """
-        watch, params = self.service.watch_session(body)  # ReproError -> 400 upstream
-        request_id = self._request_id
-        telemetry = self.service.telemetry
-        telemetry.incr("watch.streams")
-        self._response_started = True
-        self.send_response(200)
-        self.send_header("Content-Type", _NDJSON)
-        self.send_header("X-Request-Id", request_id)
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
-        deadline = time.monotonic() + params["duration_s"]
-        last_line = time.monotonic()
-        sent = 0
-        ok = True
-        try:
-            while time.monotonic() < deadline:
-                for event in watch.poll():
-                    self._write_event(event, request_id)
-                    telemetry.incr("watch.events_streamed")
-                    sent += 1
-                    last_line = time.monotonic()
-                    if params["max_events"] and sent >= params["max_events"]:
-                        return
-                now = time.monotonic()
-                if now - last_line >= params["heartbeat_s"]:
-                    self._write_event(watch.heartbeat(), request_id)
-                    last_line = now
-                time.sleep(min(params["poll_interval_s"], max(0.0, deadline - now)))
-        except (BrokenPipeError, ConnectionResetError):  # client hangup
-            ok = False
-            telemetry.incr("watch.client_disconnects")
-        except Exception as error:
-            # Mid-stream failure (e.g. a poll raising): emit a terminal
-            # error line in the JSONL framing and let the close mark EOF.
-            ok = False
-            telemetry.incr("watch.stream_errors")
-            try:
-                line = json.dumps(
-                    dict(error_result(error), kind="error", request_id=request_id),
-                    sort_keys=True,
-                ) + "\n"
-                self.wfile.write(line.encode("utf-8"))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                pass
-        finally:
-            watch.close()
-            self.service._count(ok)
-
-    def _write_event(self, event, request_id: str) -> None:
-        payload = dict(event.to_dict(), request_id=request_id)
-        line = json.dumps(payload, sort_keys=True) + "\n"
-        self.wfile.write(line.encode("utf-8"))
-        self.wfile.flush()
-
-
-class ServiceServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`StructurednessService`."""
-
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], service: StructurednessService,
-                 verbose: bool = False):
-        super().__init__(address, _Handler)
-        self.service = service
-        self.verbose = verbose
-
-    @property
-    def url(self) -> str:
-        """The server's base URL (useful with ``port=0`` ephemeral binds)."""
-        host, port = self.server_address[0], self.server_address[1]
-        return f"http://{host}:{port}"
-
-    def close(self) -> None:
-        """Stop serving, release the socket and close the service."""
-        self.shutdown()
-        self.server_close()
-        self.service.close()
-
-
-def make_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    workers: int = 1,
-    solver_time_limit: Optional[float] = None,
-    executor: Optional[BatchExecutor] = None,
-    verbose: bool = False,
-    jobs: Optional[object] = None,
-) -> ServiceServer:
-    """Bind a service server (``port=0`` picks an ephemeral free port).
-
-    ``jobs`` sets each session's (or pool worker's) intra-query
-    parallelism budget; ``/v1/stats`` reports the resolved value.
-    """
-    service = StructurednessService(
-        executor=executor, workers=workers, solver_time_limit=solver_time_limit,
-        jobs=jobs,
-    )
-    return ServiceServer((host, port), service, verbose=verbose)
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    workers: int = 1,
-    solver_time_limit: Optional[float] = None,
-    verbose: bool = False,
-    jobs: Optional[object] = None,
-) -> int:
-    """Run the HTTP service until interrupted (the ``repro serve`` command)."""
-    server = make_server(
-        host, port, workers=workers, solver_time_limit=solver_time_limit, verbose=verbose,
-        jobs=jobs,
-    )
-    print(f"repro service listening on {server.url}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    finally:
-        server.server_close()
-        server.service.close()
-    return 0

@@ -43,6 +43,7 @@ not at all, never partially.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -206,15 +207,34 @@ def check_snapshot_target(path: object, *, overwrite: bool = False) -> None:
     whole chain) run this first so the refusal is instant.
     """
     target = Path(path)
-    if target.exists():
-        if not overwrite:
+    if not overwrite:
+        if target.exists():
             raise SnapshotError(
                 f"snapshot path {str(target)!r} already exists (pass overwrite=True to replace it)"
             )
-        if not (target.is_dir() and (target / MANIFEST_NAME).exists()):
-            raise SnapshotError(
-                f"refusing to overwrite {str(target)!r}: it is not a snapshot directory"
-            )
+        return
+    # Concurrent saves keep ``target`` either absent or a complete snapshot,
+    # but move the old one aside and then delete it, so a check can watch
+    # the path vanish, or list a directory that is being deleted.  Either
+    # way the target is writable: refuse only a manifest-less directory
+    # that stayed at ``target`` throughout the listing.
+    try:
+        before = os.stat(target)
+        entries = os.listdir(target)
+    except FileNotFoundError:
+        return
+    except NotADirectoryError:
+        entries = []
+    if MANIFEST_NAME in entries:
+        return
+    try:
+        after = os.stat(target)
+    except FileNotFoundError:
+        return
+    if (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino):
+        raise SnapshotError(
+            f"refusing to overwrite {str(target)!r}: it is not a snapshot directory"
+        )
 
 
 @dataclass
@@ -443,22 +463,22 @@ class SnapshotWriter:
             # is benign — never an error, never a partial state at ``path``.
             replaced = target.with_name(f"{target.name}.old-{token}")
             moved_aside = False
-            if target.exists():
-                try:
-                    os.rename(target, replaced)
-                    moved_aside = True
-                except FileNotFoundError:
-                    pass  # a concurrent writer already swapped the old one away
+            try:
+                os.rename(target, replaced)
+                moved_aside = True
+            except FileNotFoundError:
+                pass  # first save, or a concurrent writer moved the old one away
             try:
                 os.rename(staging, target)
-            except OSError:
-                if (target / MANIFEST_NAME).exists():
-                    # Lost the final rename: a complete snapshot from a
-                    # concurrent writer is in place; ours is redundant.
-                    shutil.rmtree(staging)
-                    manifest = _read_manifest(target)
-                else:
+            except OSError as error:
+                if error.errno not in (errno.ENOTEMPTY, errno.EEXIST):
                     raise
+                # Lost the final rename: a concurrent writer's complete
+                # snapshot landed between our two renames, and ours is
+                # redundant.  The result describes the snapshot this writer
+                # built, from the manifest in hand — re-reading ``target``
+                # would race a third writer moving it aside.
+                shutil.rmtree(staging)
             if moved_aside:
                 shutil.rmtree(replaced)
         except Exception:

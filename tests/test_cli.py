@@ -193,6 +193,14 @@ class TestBatch:
         text = build_parser().format_help()
         assert "batch" in text and "serve" in text
 
+    def test_serve_accepts_the_no_op_async_flag(self):
+        args = build_parser().parse_args(["serve", "--async", "--workers", "2"])
+        assert args.workers == 2 and args.max_workers is None
+
+    def test_serve_rejects_a_ceiling_below_the_workers(self):
+        with pytest.raises(SystemExit, match="--max-workers"):
+            main(["serve", "--workers", "3", "--max-workers", "2"])
+
 
 class TestSnapshotCommand:
     def test_version_flag(self, capsys):

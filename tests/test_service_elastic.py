@@ -16,7 +16,6 @@ import pytest
 
 from repro.service import ElasticPoolExecutor, InlineExecutor, create_executor
 from repro.service.elastic import _DRAIN
-from repro.service.pool import PooledExecutor
 
 NT = ('<http://e/a> <http://e/p> "1" .\n'
       '<http://e/a> <http://e/q> "1" .\n'
@@ -65,7 +64,8 @@ class TestBounds:
             elastic.close()
         fixed = create_executor(workers=2, max_workers=2)
         try:
-            assert isinstance(fixed, PooledExecutor)
+            assert isinstance(fixed, ElasticPoolExecutor)
+            assert fixed.min_workers == fixed.max_workers == 2
         finally:
             fixed.close()
         assert isinstance(create_executor(workers=1), InlineExecutor)
@@ -154,6 +154,25 @@ class TestScaling:
         finally:
             elastic.close()
 
+    def test_fixed_size_pool_never_scales_under_backlog(self):
+        pool = create_executor(workers=2)
+        try:
+            wide = [
+                _ev(dataset={"builtin": "dbpedia-persons",
+                             "params": {"n_subjects": 400, "seed": seed}})
+                for seed in range(6)
+            ]
+            assert all(e["ok"] for e in pool.execute(wide))
+            stats = pool.stats()
+            assert stats["peak_workers"] == stats["workers"] == 2
+            assert stats["scale_up_events"] == stats["scale_down_events"] == 0
+            counters = pool.telemetry.snapshot()["counters"]
+            assert counters["scale.worker_boots"] == 2
+            assert "scale.up" not in counters and "scale.down" not in counters
+            assert pool._scaler is None  # min == max: no scaler thread at all
+        finally:
+            pool.close()
+
     def test_never_drains_below_the_floor(self):
         elastic = ElasticPoolExecutor(
             min_workers=2, max_workers=3, idle_timeout_s=0.1, scale_interval_s=0.02
@@ -177,7 +196,7 @@ class TestLifecycle:
             counters = elastic.telemetry.snapshot()["counters"]
             assert counters.get("scale.forced_terminations", 0) == 0
             # Reuse after close: the mutation log survives, fresh workers
-            # replay it before taking jobs (same contract as PooledExecutor).
+            # replay it before taking jobs.
             elastic.execute([_mut(9)])
             reopened = elastic.execute([_ev()])
             baseline = InlineExecutor().execute([_mut(9), _ev()])[1:]

@@ -1,12 +1,8 @@
-"""Tests for the HTTP front-ends (threaded and asyncio).
+"""Tests for the HTTP front-end (:mod:`repro.service.async_server`).
 
 A real server is bound to an ephemeral port and driven through ``urllib``
 — the same path ``curl`` takes — so routing, status mapping and payload
-determinism are exercised end to end.  The whole suite runs twice: once
-against the ``ThreadingHTTPServer`` front-end
-(:mod:`repro.service.server`) and once against the asyncio front-end
-(:mod:`repro.service.async_server`), which is how the two are proven to
-share one route/envelope contract.
+determinism are exercised end to end.
 """
 
 from __future__ import annotations
@@ -21,24 +17,16 @@ import urllib.request
 import pytest
 
 from repro.exceptions import RequestError
-from repro.service import InlineExecutor, make_async_server, make_server
+from repro.service import InlineExecutor, make_async_server
 from repro.service.server import StructurednessService
 from repro.service.wire import strip_timing
 
 
-@pytest.fixture(scope="module", params=["threaded", "async"])
-def server(request):
-    if request.param == "threaded":
-        server = make_server(host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.close()
-        thread.join(timeout=5)
-    else:
-        server = make_async_server(host="127.0.0.1", port=0).start()
-        yield server
-        server.close()
+@pytest.fixture(scope="module")
+def server():
+    server = make_async_server(host="127.0.0.1", port=0).start()
+    yield server
+    server.close()
 
 
 def _request_full(server, path, body=None, content_type="application/json"):

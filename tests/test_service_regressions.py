@@ -1,19 +1,21 @@
 """Regression tests for the service-tier hardening fixes.
 
-Each class pins one bug the server used to ship:
+Each class pins one bug the service used to ship:
 
 * a mid-stream ``watch.poll()`` failure crashed the handler *after* the
-  status line went out, making ``do_POST`` send a second response on the
-  same connection (and counting the wreck as ``ok``);
+  status line went out, sending a second response on the same
+  connection (and counting the wreck as ``ok``);
 * ``float("nan")`` timings slipped past the ``<= 0`` validation and a
   negative ``max_events`` terminated the stream after the first event;
 * a ``Transfer-Encoding: chunked`` body was silently read as empty and
   surfaced as a misleading "needs a 'dataset' spec" 400;
-* ``PooledExecutor.close()`` called ``terminate()`` outright, killing
+* the worker pool's ``close()`` called ``terminate()`` outright, killing
   in-flight jobs an orderly shutdown should have drained.
 
-The HTTP tests run against both front-ends (threaded and asyncio) —
-the fixes are part of the shared route contract.
+The HTTP tests run against the front-end
+(:mod:`repro.service.async_server`), because the fixes are part of the
+route contract; the shutdown tests run against the worker pool
+(:class:`~repro.service.elastic.ElasticPoolExecutor`).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import urllib.request
 import pytest
 
 from repro.exceptions import RequestError
-from repro.service import make_async_server, make_server
-from repro.service.pool import PooledExecutor
+from repro.service import make_async_server
+from repro.service.elastic import ElasticPoolExecutor
 from repro.service.server import StructurednessService
 
 WATCH_DATASET = {
@@ -41,20 +43,12 @@ WATCH_DATASET = {
 }
 
 
-@pytest.fixture(params=["threaded", "async"])
-def live_server(request):
+@pytest.fixture
+def live_server():
     """A fresh (function-scoped) server: these tests patch and break it."""
-    if request.param == "threaded":
-        server = make_server(host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.close()
-        thread.join(timeout=5)
-    else:
-        server = make_async_server(host="127.0.0.1", port=0).start()
-        yield server
-        server.close()
+    server = make_async_server(host="127.0.0.1", port=0).start()
+    yield server
+    server.close()
 
 
 def _post(server, path, body, headers=None):
@@ -247,54 +241,89 @@ class TestWatchClientDisconnect:
         assert service.counters["ok_responses"] == before_ok
 
 
-class _FakePool:
-    """Records the close/join/terminate order; join can be made to hang."""
-
-    def __init__(self, hang_in_join=False):
-        self.calls = []
-        self.hang_in_join = hang_in_join
-
-    def close(self):
-        self.calls.append("close")
-
-    def join(self):
-        self.calls.append("join")
-        if self.hang_in_join:
-            time.sleep(60)
-
-    def terminate(self):
-        self.calls.append("terminate")
-        self.hang_in_join = False  # a terminated pool's join returns
+EVALUATE = {
+    "op": "evaluate",
+    "dataset": {"builtin": "dbpedia-persons", "params": {"n_subjects": 80}},
+    "request": {"rule": "Cov"},
+}
 
 
-class TestPooledExecutorShutdown:
+def _slow_jobs(monkeypatch, seconds):
+    """Make every pool job sleep ``seconds`` first; returns a "job started" event.
+
+    Works through ``fork``: the workers inherit the patched module, so the
+    caller must build its pool with ``start_method="fork"``.
+    """
+    import multiprocessing
+
+    from repro.service import elastic
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method to patch worker code")
+    started = multiprocessing.get_context("fork").Event()
+    apply_job = elastic._apply_job
+
+    def slow_apply_job(*args):
+        started.set()
+        time.sleep(seconds)
+        return apply_job(*args)
+
+    monkeypatch.setattr(elastic, "_apply_job", slow_apply_job)
+    return started
+
+
+def _execute_in_thread(executor):
+    """Run EVALUATE on a thread; returns (thread, outcome dict)."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["envelopes"] = executor.execute([EVALUATE])
+        except RuntimeError as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestPoolShutdown:
     """close() drains in-flight work; terminate() is the last resort."""
 
-    def test_graceful_close_never_terminates(self):
-        executor = PooledExecutor(workers=1, drain_timeout=5.0)
-        fake = _FakePool()
-        executor._pool = fake
+    def test_graceful_close_drains_an_in_flight_job(self, monkeypatch):
+        started = _slow_jobs(monkeypatch, seconds=0.5)
+        executor = ElasticPoolExecutor(
+            min_workers=1, max_workers=1, start_method="fork", drain_timeout=30.0
+        )
+        thread, outcome = _execute_in_thread(executor)
+        assert started.wait(30)
         executor.close()
-        assert fake.calls == ["close", "join"]
+        thread.join(30)
+        assert not thread.is_alive()
+        assert outcome["envelopes"][0]["ok"]
+        counters = executor.telemetry.snapshot()["counters"]
+        assert counters.get("scale.forced_terminations", 0) == 0
 
-    def test_hung_drain_escalates_to_terminate(self):
-        executor = PooledExecutor(workers=1, drain_timeout=0.2)
-        fake = _FakePool(hang_in_join=True)
-        executor._pool = fake
-        started = time.monotonic()
+    def test_job_outliving_drain_timeout_escalates_to_terminate(self, monkeypatch):
+        started = _slow_jobs(monkeypatch, seconds=60)
+        executor = ElasticPoolExecutor(
+            min_workers=1, max_workers=1, start_method="fork", drain_timeout=0.5
+        )
+        thread, outcome = _execute_in_thread(executor)
+        assert started.wait(30)
+        began = time.monotonic()
         executor.close()
-        elapsed = time.monotonic() - started
-        assert fake.calls[:2] == ["close", "join"]
-        assert "terminate" in fake.calls
-        assert elapsed < 5  # bounded by drain_timeout, not join()'s hang
+        elapsed = time.monotonic() - began
+        thread.join(10)
+        assert not thread.is_alive()
+        assert elapsed < 5  # bounded by drain_timeout, not by the 60 s job
+        counters = executor.telemetry.snapshot()["counters"]
+        assert counters["scale.forced_terminations"] == 1
+        assert "pool closed" in str(outcome["error"])
 
     def test_real_pool_drains_in_flight_jobs(self):
-        executor = PooledExecutor(workers=1, drain_timeout=30.0)
-        results = executor.execute([{
-            "op": "evaluate",
-            "dataset": {"builtin": "dbpedia-persons", "params": {"n_subjects": 80}},
-            "request": {"rule": "Cov"},
-        }])
+        executor = ElasticPoolExecutor(min_workers=1, max_workers=1, drain_timeout=30.0)
+        results = executor.execute([EVALUATE])
         assert results[0]["ok"]
         executor.close()  # graceful: no forced_terminations counter bump
         from repro.telemetry import current as current_telemetry

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from repro.api import Dataset
 from repro.exceptions import SnapshotError
-from repro.service.executor import InlineExecutor
-from repro.service.pool import PooledExecutor
+from repro.service.executor import InlineExecutor, create_executor
 from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import StructurednessService
 from repro.service.wire import strip_timing
@@ -28,6 +28,7 @@ from repro.storage.snapshots import (
     MANIFEST_NAME,
     SNAPSHOT_VERSION,
     _canonical_manifest_bytes,
+    check_snapshot_target,
     inspect_snapshot,
     open_snapshot,
     write_snapshot,
@@ -191,6 +192,116 @@ class TestRoundTrip:
         for kwargs in ({"verify": False}, {"mmap": False}):
             loaded = Dataset.load(tmp_path / "snap", **kwargs)
             assert_tables_bit_identical(loaded.table, dataset.table)
+
+
+class TestConcurrentSaveInterleavings:
+    """Each way a concurrent writer can interleave with a save, forced.
+
+    Concurrent saves to one path race on two renames (old snapshot aside,
+    staging into place) and on the up-front target check.  Here a patched
+    ``os.rename``/``os.listdir`` performs the other writers' steps at the
+    exact moment that used to break a save, so every interleaving runs on
+    every test run instead of now and then.
+    """
+
+    WINNER_NT = '<http://ex/zed> <http://ex/name> "Zed" .\n'
+
+    def _setup(self, tmp_path):
+        """An existing snapshot of ours at ``snap`` and a winner's aside."""
+        target = tmp_path / "snap"
+        ours = Dataset.from_ntriples_text(NTRIPLES, name="ours")
+        first = ours.save(target)
+        winner = Dataset.from_ntriples_text(self.WINNER_NT, name="winner")
+        winner.save(tmp_path / "winner")
+        return target, ours, first, winner
+
+    def test_lost_final_rename_reports_this_writers_snapshot(self, tmp_path, monkeypatch):
+        target, ours, first, winner = self._setup(tmp_path)
+        real = os.rename
+
+        def land_winner_first(src, dst):
+            if ".tmp-" in str(src) and str(dst) == str(target):
+                # Another writer's complete snapshot lands between our renames.
+                real(tmp_path / "winner", target)
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "rename", land_winner_first)
+        info = ours.save(target, overwrite=True)
+        monkeypatch.undo()
+        assert (info.name, info.segments, info.path) == ("ours", first.segments, str(target))
+        assert_tables_bit_identical(Dataset.load(target).table, winner.table)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap"]
+
+    def test_lost_final_rename_while_a_third_writer_moves_the_winner_aside(
+        self, tmp_path, monkeypatch
+    ):
+        target, ours, first, _ = self._setup(tmp_path)
+        real = os.rename
+
+        def lose_then_vanish(src, dst):
+            if ".tmp-" in str(src) and str(dst) == str(target):
+                real(tmp_path / "winner", target)
+                try:
+                    real(src, dst)
+                except OSError as error:  # ENOTEMPTY / EEXIST: we lost
+                    lost = error
+                # A third writer moves the winner aside before the loser
+                # gets to look at the target.
+                real(target, tmp_path / "third-writer-aside")
+                raise lost
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "rename", lose_then_vanish)
+        info = ours.save(target, overwrite=True)
+        monkeypatch.undo()
+        assert (info.name, info.segments) == ("ours", first.segments)
+        # Nothing of ours is left behind: no staging, no aside directory.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["third-writer-aside"]
+
+    def test_old_snapshot_already_moved_aside_by_another_writer(self, tmp_path, monkeypatch):
+        target, ours, first, _ = self._setup(tmp_path)
+        real = os.rename
+
+        def steal_old_snapshot(src, dst):
+            if str(src) == str(target) and ".old-" in str(dst):
+                real(target, tmp_path / "other-writer-aside")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "rename", steal_old_snapshot)
+        info = ours.save(target, overwrite=True)
+        monkeypatch.undo()
+        assert info.segments == first.segments
+        assert_tables_bit_identical(Dataset.load(target).table, ours.table)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "other-writer-aside", "snap", "winner",
+        ]
+
+    @pytest.mark.parametrize("interleaving", ["moved-aside", "being-deleted", "swapped"])
+    def test_overwrite_check_treats_a_concurrent_swap_as_writable(
+        self, tmp_path, monkeypatch, interleaving
+    ):
+        target, _, _, _ = self._setup(tmp_path)
+        real = os.listdir
+        listed = []
+
+        def interleave(path):
+            if str(path) != str(target):
+                return real(path)
+            listed.append(path)
+            os.rename(target, tmp_path / "aside")
+            if interleaving == "being-deleted":
+                # The listing follows the directory it opened, which a
+                # writer moved aside and has begun to delete.
+                os.remove(tmp_path / "aside" / MANIFEST_NAME)
+                return real(tmp_path / "aside")
+            if interleaving == "swapped":
+                os.rename(tmp_path / "winner", target)
+            return real(path)
+
+        monkeypatch.setattr(os, "listdir", interleave)
+        check_snapshot_target(target, overwrite=True)  # must not raise
+        monkeypatch.undo()
+        assert listed == [target]
 
 
 class TestMutationRoundTrip:
@@ -407,7 +518,7 @@ class TestServiceIntegration:
         batch = _mixed_snapshot_batch(tmp_path, n=32)
         inline = InlineExecutor().execute(batch)
         assert len(inline) == 32 and all(envelope["ok"] for envelope in inline)
-        with PooledExecutor(workers=4) as pool:
+        with create_executor(workers=4) as pool:
             pooled = pool.execute(batch)
         assert json.dumps(pooled, sort_keys=True) == json.dumps(inline, sort_keys=True)
 
