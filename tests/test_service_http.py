@@ -2,7 +2,10 @@
 
 A real server is bound to an ephemeral port and driven through ``urllib``
 — the same path ``curl`` takes — so routing, status mapping and payload
-determinism are exercised end to end.
+determinism are exercised end to end.  The route, error, envelope and
+metrics tests run once per executor behind that front-end (inline, a
+fixed worker pool and an autoscaling pool), which is how the executors
+are shown to serve one contract.
 """
 
 from __future__ import annotations
@@ -22,9 +25,24 @@ from repro.service.server import StructurednessService
 from repro.service.wire import strip_timing
 
 
+#: ``make_async_server`` sizing per executor: inline, a fixed two-worker
+#: pool (min == max, no scaler thread) and an autoscaling pool.
+EXECUTORS = {
+    "inline": {"workers": 1},
+    "pool": {"workers": 2},
+    "elastic": {"workers": 1, "max_workers": 2},
+}
+
+#: Runs a test once per executor behind the one front-end.  Tests left
+#: unmarked need in-process state (watch streams, shared session builds,
+#: per-session stats) and run against the inline executor only.
+every_executor = pytest.mark.parametrize("server", list(EXECUTORS), indirect=True)
+
+
 @pytest.fixture(scope="module")
-def server():
-    server = make_async_server(host="127.0.0.1", port=0).start()
+def server(request):
+    sizing = EXECUTORS[getattr(request, "param", "inline")]
+    server = make_async_server(host="127.0.0.1", port=0, **sizing).start()
     yield server
     server.close()
 
@@ -62,10 +80,12 @@ def _stream_watch(server, body, timeout=30):
 
 
 class TestRoutes:
+    @every_executor
     def test_healthz(self, server):
         status, payload = _request(server, "/healthz")
         assert status == 200 and payload["ok"] is True
 
+    @every_executor
     def test_evaluate(self, server):
         status, payload = _request(
             server,
@@ -78,6 +98,7 @@ class TestRoutes:
         assert 0 < payload["result"]["value"] < 1
         assert "/" in payload["result"]["exact"]
 
+    @every_executor
     def test_mutate_round_trip_changes_followup_answers(self, server):
         dataset = {
             "ntriples": '<http://ex/a> <http://ex/p> "1" .\n'
@@ -98,6 +119,7 @@ class TestRoutes:
         assert before["result"]["exact"] != after["result"]["exact"]
         assert after["result"]["exact"] == "1/1"  # both subjects now have p and q
 
+    @every_executor
     def test_mutate_rejects_table_born_dataset(self, server):
         status, payload = _request(
             server,
@@ -108,6 +130,7 @@ class TestRoutes:
         assert status == 400 and not payload["ok"]
         assert payload["error"]["type"] == "DatasetError"
 
+    @every_executor
     def test_refine_matches_inline_executor(self, server):
         body = {
             "dataset": {"builtin": "dbpedia-persons", "params": {"n_subjects": 300}},
@@ -118,6 +141,7 @@ class TestRoutes:
         reference = InlineExecutor().execute([dict(body, op="refine")])[0]
         assert payload["result"] == reference["result"]
 
+    @every_executor
     def test_lowest_k_and_sweep(self, server):
         dataset = {"builtin": "dbpedia-persons", "params": {"n_subjects": 300}}
         status, payload = _request(
@@ -129,6 +153,7 @@ class TestRoutes:
         )
         assert status == 200 and len(payload["result"]["entries"]) == 2
 
+    @every_executor
     def test_batch_json_and_ndjson(self, server):
         requests = [
             {"op": "evaluate", "dataset": "wordnet-nouns", "request": {"rule": "Cov"}},
@@ -142,6 +167,7 @@ class TestRoutes:
         assert status == 200
         assert again["results"] == payload["results"]
 
+    @every_executor
     def test_datasets_lists_builtins_and_loaded(self, server):
         status, payload = _request(server, "/v1/datasets")
         assert status == 200
@@ -158,6 +184,7 @@ class TestRoutes:
         assert payload["executor"]["registry"]["builds"] >= 1
 
 
+@every_executor
 class TestErrorMapping:
     def test_unknown_route_404(self, server):
         assert _request(server, "/nope")[0] == 404
@@ -250,6 +277,7 @@ WATCH_DATASET = {
 }
 
 
+@every_executor
 class TestEnvelope:
     """Every JSON envelope carries a request id and the server-side time."""
 
@@ -285,6 +313,7 @@ class TestEnvelope:
         assert "request_id" not in once["results"][0]
 
 
+@every_executor
 class TestMetrics:
     def test_metrics_sections_and_status_class_counters(self, server):
         _request(server, "/v1/evaluate", {"dataset": "wordnet-nouns", "rule": "Cov"})

@@ -44,9 +44,14 @@ WATCH_DATASET = {
 
 
 @pytest.fixture
-def live_server():
-    """A fresh (function-scoped) server: these tests patch and break it."""
-    server = make_async_server(host="127.0.0.1", port=0).start()
+def live_server(request):
+    """A fresh (function-scoped) server: these tests patch and break it.
+
+    Inline by default; ``param`` is ``make_async_server`` sizing for the
+    tests that run once per executor.
+    """
+    sizing = getattr(request, "param", {"workers": 1})
+    server = make_async_server(host="127.0.0.1", port=0, **sizing).start()
     yield server
     server.close()
 
@@ -107,6 +112,12 @@ class TestWatchValidation:
 class TestChunkedBodies:
     """Chunked uploads get a clear 411 naming the encoding, not a bogus 400."""
 
+    @pytest.mark.parametrize(
+        "live_server",
+        [{"workers": 1}, {"workers": 2}, {"workers": 1, "max_workers": 2}],
+        ids=["inline", "pool", "elastic"],
+        indirect=True,
+    )
     def test_chunked_transfer_encoding_is_named_in_a_411(self, live_server):
         host, port = live_server.url[len("http://"):].split(":")
         connection = http.client.HTTPConnection(host, int(port), timeout=10)
