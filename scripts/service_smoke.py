@@ -141,8 +141,7 @@ def _spawn_server(env, *extra_args):
 
 
 def _stop_server(server) -> None:
-    # SIGINT lets the server close its pool; a SIGTERM'd server would
-    # leave its worker processes orphaned.
+    # SIGINT (like SIGTERM) lets the server drain and close its pool.
     server.send_signal(signal.SIGINT)
     try:
         server.wait(timeout=30)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import sys
 import threading
 import time
@@ -710,7 +711,12 @@ def serve_async(
     pending_limit: int = 64,
     concurrency: Optional[int] = None,
 ) -> int:
-    """Run the HTTP service until interrupted (the ``repro serve`` command)."""
+    """Run the HTTP service until interrupted (the ``repro serve`` command).
+
+    SIGTERM stops it the way SIGINT does: :meth:`AsyncServiceServer.close`
+    drains the worker pool before the process exits, so no worker is left
+    orphaned behind a terminated server.
+    """
     server = make_async_server(
         host, port, workers=workers, max_workers=max_workers,
         solver_time_limit=solver_time_limit, verbose=verbose, jobs=jobs,
@@ -727,10 +733,20 @@ def serve_async(
         f"pending_limit={server.pending_limit})",
         flush=True,
     )
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.wait()
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
         server.close()
     return 0
+
+
+def _interrupt(signum, frame) -> None:
+    """SIGTERM handler: unwind :func:`serve_async` as Ctrl-C does."""
+    raise KeyboardInterrupt

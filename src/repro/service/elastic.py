@@ -31,18 +31,29 @@ and draining afterwards costs almost nothing.
 Determinism: a group always runs in submission order inside one worker's
 session, exactly as :class:`~repro.service.executor.InlineExecutor` runs
 it in-process.  Workers are anonymous and pull jobs off one shared
-queue, so the executor keeps an ordered *mutation log* (one entry per
-graph-changing ``mutate`` request): every job ships the ``(seq, wire
-dict)`` history and a worker replays the entries it has not folded yet
-before touching the job (:func:`_apply_job`).  A worker booted
-mid-traffic therefore converges on exactly the state every older worker
-has, and payloads stay bit-identical to inline execution whichever — and
-however many — workers served them.
+queue, so the executor keeps an ordered *mutation log* (one ``(seq, wire
+dict)`` entry per graph-changing ``mutate`` request), and a worker
+replays the entries it has not folded yet before touching a job
+(:func:`_apply_job`).  A worker booted mid-traffic therefore converges on
+exactly the state every older worker has, and payloads stay
+bit-identical to inline execution whichever — and however many — workers
+served them.
 
-Deliberate trade-off: the full log ships with every job (the executor
-cannot know which entries a given anonymous worker still needs), making
-per-job overhead linear in the number of mutations applied over the
-pool's lifetime.
+Bounded shipping: every result reply carries the worker's id and the
+last log sequence number it has applied, and the executor keeps that
+mark per live (or draining) worker.  A job ships only the log entries
+past the lowest mark, so its size follows how far the slowest worker
+lags, not how long the pool has lived.  A worker boots with the whole
+log in its process arguments (under ``fork`` that copies nothing) and
+replays it inside its first job, so its mark starts at the log's end.
+A mark moves only on a result reply: an error reply leaves it where it
+was, and a crashed worker holds the floor down, so jobs then ship more
+entries, never fewer than a worker needs.
+
+Remaining trade-off: the executor keeps the whole log, because a worker
+booted later replays it from the start, so the parent's memory and a
+late boot's replay still grow with the number of mutations applied over
+the pool's lifetime.
 
 Known corner of the bit-identity invariant: the ``cached`` flag (only)
 of a refinement repeated *within one batch* across a **no-op** mutation
@@ -56,8 +67,10 @@ group→worker routing), which one shared job queue cannot express.
 
 Scale events are counted in the executor's always-on
 :class:`~repro.telemetry.Telemetry` (``scale.up`` / ``scale.down`` /
-``scale.worker_boots`` / ``scale.worker_drains``), mirrored into the
-process spine, reported by :meth:`ElasticPoolExecutor.stats` and served
+``scale.worker_boots`` / ``scale.worker_drains``), as are the log
+entries jobs carry (``pool.log_entries_shipped``); all are mirrored into
+the process spine, the scale events are reported by
+:meth:`ElasticPoolExecutor.stats`, and all are served
 over ``GET /v1/metrics``.
 
 :meth:`close` is graceful by construction: drain sentinels queue
@@ -71,6 +84,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
+from bisect import bisect_left
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple
 
@@ -84,23 +98,15 @@ __all__ = ["ElasticPoolExecutor"]
 _DRAIN = None
 
 
-def _apply_job(
-    executor: InlineExecutor, applied_seq: int, payload: Dict[str, object]
-) -> Tuple[List[Dict[str, object]], int]:
-    """Catch up on the mutation log, then run one group on ``executor``.
+def _replay(executor: InlineExecutor, applied_seq: int, mutations) -> int:
+    """Replay the ``(seq, wire dict)`` entries past ``applied_seq``.
 
-    ``payload`` carries the group's wire dicts plus the mutation log as
-    ``(seq, wire dict)`` pairs; entries with a sequence number beyond
-    ``applied_seq`` are replayed into the executor's registry (their
-    envelopes are discarded — the phase that originated a mutation
-    already produced its envelope).  ``payload["applied_seq"]`` marks the
-    group itself as a mutation so the executing worker does not replay it
-    again later: replaying a remove-then-insert of the same triple twice
-    would count spurious changes and skew the generation counter.
-
-    Returns ``(result envelopes, new applied_seq)``.
+    Entries at or below ``applied_seq`` are skipped, so a log that
+    overlaps what the worker already holds is harmless.  The replayed
+    envelopes are discarded: the phase that originated a mutation already
+    produced its envelope.  Returns the seq of the last entry applied.
     """
-    for seq, mutation in payload.get("mutations", ()):
+    for seq, mutation in mutations:
         if seq > applied_seq:
             [replayed] = executor.run_group([parse_request(mutation)])
             if not replayed.get("ok"):
@@ -114,6 +120,25 @@ def _apply_job(
                     f"{replayed.get('error')}"
                 )
             applied_seq = seq
+    return applied_seq
+
+
+def _apply_job(
+    executor: InlineExecutor, applied_seq: int, payload: Dict[str, object]
+) -> Tuple[List[Dict[str, object]], int]:
+    """Catch up on the mutation log, then run one group on ``executor``.
+
+    ``payload`` carries the group's wire dicts plus the log entries past
+    the slowest live worker's mark, as ``(seq, wire dict)`` pairs; the
+    ones beyond ``applied_seq`` are replayed into the executor's
+    registry first.  ``payload["applied_seq"]`` marks the group itself as
+    a mutation so the executing worker does not replay it again later:
+    replaying a remove-then-insert of the same triple twice would count
+    spurious changes and skew the generation counter.
+
+    Returns ``(result envelopes, new applied_seq)``.
+    """
+    applied_seq = _replay(executor, applied_seq, payload.get("mutations", ()))
     results = executor.run_group([parse_request(d) for d in payload["requests"]])
     applied = payload.get("applied_seq")
     if applied is not None:
@@ -124,8 +149,15 @@ def _apply_job(
 def _elastic_worker_main(
     inbound, outbound, worker_id: int,
     solver_time_limit: Optional[float], jobs: Optional[object],
+    boot_log: List[Tuple[int, Dict[str, object]]],
 ) -> None:
     """Worker process body: boot an inline engine, serve jobs until drained.
+
+    ``boot_log`` is the mutation log as it stood when the worker was
+    spawned; the executor counts it as applied from the start, so it is
+    replayed before the first job runs — inside that job's ``try``, so a
+    failed replay still answers the job (and is retried with the next).
+    Result replies carry ``(worker_id, applied_seq, envelopes)``.
 
     Exceptions never escape a job — they come back as ``("error", job_id,
     message)`` tuples so the parent can resolve the job's future instead
@@ -141,8 +173,11 @@ def _elastic_worker_main(
             return
         job_id, payload = item
         try:
+            if boot_log:
+                applied_seq = _replay(executor, applied_seq, boot_log)
+                boot_log = []
             results, applied_seq = _apply_job(executor, applied_seq, payload)
-            outbound.put(("result", job_id, results))
+            outbound.put(("result", job_id, (worker_id, applied_seq, results)))
         except BaseException as error:  # noqa: BLE001 - must answer the job
             outbound.put(("error", job_id, f"{type(error).__name__}: {error}"))
 
@@ -218,6 +253,10 @@ class ElasticPoolExecutor(BatchExecutor):
         self._mutation_lock = threading.Lock()
         self._mutation_log: List[Tuple[int, Dict[str, object]]] = []
         self._mutation_seq = 0
+        # Per live or draining worker: the last log seq it has applied, as
+        # of its latest result reply (or its boot log).  The lowest mark is
+        # the floor below which no job needs to ship entries.
+        self._applied: Dict[int, int] = {}
         self._started = False
         self._closing = False
         self._inbound = None
@@ -264,17 +303,22 @@ class ElasticPoolExecutor(BatchExecutor):
         """Boot one worker (caller holds ``self._lock``)."""
         self._worker_seq += 1
         worker_id = self._worker_seq
+        # The log goes out whole at boot: start() forks or pickles it while
+        # we hold the lock, so no append can slip in between the copy the
+        # worker gets and the mark recorded for it.
+        boot_log = self._mutation_log
         process = self._context.Process(
             target=_elastic_worker_main,
             args=(
                 self._inbound, self._outbound, worker_id,
-                self._solver_time_limit, self._session_jobs,
+                self._solver_time_limit, self._session_jobs, boot_log,
             ),
             name=f"repro-elastic-{worker_id}",
             daemon=True,
         )
         process.start()
         self._workers[worker_id] = process
+        self._applied[worker_id] = boot_log[-1][0] if boot_log else 0
         self._peak_workers = max(self._peak_workers, len(self._workers))
         self.telemetry.incr("scale.worker_boots")
         current_telemetry().incr("scale.worker_boots")
@@ -291,6 +335,7 @@ class ElasticPoolExecutor(BatchExecutor):
             if kind == "drained":
                 with self._lock:
                     process = self._workers.pop(key, None)
+                    self._applied.pop(key, None)
                     self._draining = max(0, self._draining - 1)
                     # close() joins the workers it drains itself.  Two
                     # threads reaping one process race in waitpid, and the
@@ -302,6 +347,14 @@ class ElasticPoolExecutor(BatchExecutor):
                 current_telemetry().incr("scale.worker_drains")
                 continue
             with self._lock:
+                if kind == "result":
+                    worker_id, applied_seq, value = value
+                    # Raise the mark before resolving the future, so the
+                    # job a caller submits next already sees it.
+                    if worker_id in self._applied:
+                        self._applied[worker_id] = max(
+                            self._applied[worker_id], applied_seq
+                        )
                 future = self._futures.pop(key, None)
                 self._last_busy = time.monotonic()
             if future is None:  # pragma: no cover - job raced with close()
@@ -342,7 +395,20 @@ class ElasticPoolExecutor(BatchExecutor):
     # ------------------------------------------------------------------ #
     # Job submission
     # ------------------------------------------------------------------ #
+    def _log_suffix_locked(self) -> List[Tuple[int, Dict[str, object]]]:
+        """The log entries some live worker lacks (caller holds ``self._lock``).
+
+        The log is in seq order (the mutation lock serialises appends),
+        so the cut past the lowest worker mark is a bisection; ``(floor +
+        1,)`` sorts before every entry with that seq and after all lower.
+        """
+        floor = min(self._applied.values(), default=self._mutation_seq)
+        return self._mutation_log[bisect_left(self._mutation_log, (floor + 1,)):]
+
     def _submit(self, payload: Dict[str, object]) -> Future:
+        shipped = len(payload["mutations"])
+        self.telemetry.incr("pool.log_entries_shipped", shipped)
+        current_telemetry().incr("pool.log_entries_shipped", shipped)
         future: Future = Future()
         with self._lock:
             self._job_seq += 1
@@ -358,7 +424,7 @@ class ElasticPoolExecutor(BatchExecutor):
             return []
         self._ensure_started()
         with self._lock:
-            log = list(self._mutation_log)
+            log = self._log_suffix_locked()
         telemetry = current_telemetry()
         telemetry.incr("pool.round_trips", len(groups))
         with telemetry.span("pool.map"):
@@ -374,9 +440,10 @@ class ElasticPoolExecutor(BatchExecutor):
     def _execute_mutation(self, request: ServiceRequest) -> Dict[str, object]:
         """Run a mutation on one worker and append it to the shared log.
 
-        The executing worker catches up on the prior log, applies the
-        mutation, marks it applied; every other worker — including any
-        booted later — replays it from the log before its next job.
+        The executing worker catches up on the entries it lacks, applies
+        the mutation and marks it applied; every other worker replays it
+        from the log before its next job, and a worker booted later gets
+        it in its boot log.
         Failed mutations (e.g. a dataset with no graph stage) fail
         identically in every process, and no-op mutations leave every
         copy's generation unchanged, so neither enters the log.
@@ -386,12 +453,9 @@ class ElasticPoolExecutor(BatchExecutor):
             with self._lock:
                 self._mutation_seq += 1
                 seq = self._mutation_seq
-                log = list(self._mutation_log)
-            payload = {
-                "mutations": log,
-                "requests": [request.to_dict()],
-                "applied_seq": seq,
-            }
+                log = self._log_suffix_locked()
+            wire = request.to_dict()
+            payload = {"mutations": log, "requests": [wire], "applied_seq": seq}
             telemetry = current_telemetry()
             telemetry.incr("pool.round_trips")
             with telemetry.span("pool.mutation"):
@@ -399,7 +463,7 @@ class ElasticPoolExecutor(BatchExecutor):
             result = envelope.get("result") or {}
             if envelope.get("ok") and (result.get("added") or result.get("removed")):
                 with self._lock:
-                    self._mutation_log.append((seq, request.to_dict()))
+                    self._mutation_log.append((seq, wire))
         return envelope
 
     # ------------------------------------------------------------------ #
@@ -431,8 +495,8 @@ class ElasticPoolExecutor(BatchExecutor):
 
         Drain sentinels queue behind in-flight jobs, so accepted work
         finishes before the workers exit.  The executor can be reused
-        afterwards — the mutation log survives, and fresh workers replay
-        it from the start before taking jobs.
+        afterwards — the mutation log survives, and fresh workers boot
+        with it and replay it before their first job.
         """
         with self._lock:
             if not self._started:
@@ -466,6 +530,7 @@ class ElasticPoolExecutor(BatchExecutor):
                     future.set_exception(RuntimeError("elastic pool closed"))
             self._futures.clear()
             self._workers.clear()
+            self._applied.clear()
             self._draining = 0
             self._inbound = self._outbound = None
             self._collector = self._scaler = None

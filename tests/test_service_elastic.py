@@ -2,14 +2,17 @@
 
 The invariants under test: payloads stay bit-identical to the inline
 baseline through any amount of scaling (mutation-log replay makes a
-worker booted mid-traffic converge before it takes work); the pool
-scales up under backlog and drains back to the floor when idle; close()
-is graceful (in-flight work completes) and the executor is reusable.
+worker booted mid-traffic converge before it takes work); a job ships
+only the log entries some worker has not applied, and a fresh worker
+gets the log at boot; the pool scales up under backlog and drains back
+to the floor when idle; close() is graceful (in-flight work completes)
+and the executor is reusable.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
@@ -37,6 +40,11 @@ def _strip_cached(envelope):
     return json.dumps(
         {k: v for k, v in envelope.items() if k != "cached"}, sort_keys=True
     )
+
+
+def _shipped(executor):
+    """Log entries shipped in jobs so far (the counter must exist once used)."""
+    return executor.telemetry.snapshot()["counters"]["pool.log_entries_shipped"]
 
 
 def _wait_for(predicate, timeout=20.0, interval=0.05):
@@ -124,6 +132,94 @@ class TestDeterminism:
         finally:
             elastic.close()
             inline.close()
+
+
+class TestBoundedShipping:
+    def test_jobs_ship_only_the_entries_the_worker_lacks(self):
+        inline = InlineExecutor()
+        pool = ElasticPoolExecutor(min_workers=1, max_workers=1)
+        try:
+            shipped, total = [], 0
+            for i in range(1000):
+                batch = [_mut(i), _ev("Sim" if i % 2 else "Cov")]
+                pooled = pool.execute([dict(r) for r in batch])
+                shipped.append(_shipped(pool) - total)
+                total += shipped[-1]
+                baseline = inline.execute([dict(r) for r in batch])
+                assert [json.dumps(e, sort_keys=True) for e in pooled] == [
+                    json.dumps(e, sort_keys=True) for e in baseline
+                ]
+            # The lone worker has applied everything the log holds by the
+            # time each job leaves, so no job after its first carries any.
+            assert shipped[1:] == [0] * 999
+            assert pool.stats()["mutations_logged"] == 1000
+        finally:
+            pool.close()
+            inline.close()
+
+    def test_worker_booted_after_mutations_gets_them_in_its_boot_log(self):
+        inline = InlineExecutor()
+        pool = ElasticPoolExecutor(min_workers=1, max_workers=1)
+        try:
+            history = [_mut(i) for i in range(25)]
+            pool.execute([dict(r) for r in history])
+            inline.execute([dict(r) for r in history])
+            pool.close()  # the next job boots a fresh worker
+            before = _shipped(pool)
+            probe = [_ev(), _ev("Sim")]
+            scaled = pool.execute([dict(r) for r in probe])
+            assert _shipped(pool) == before  # nothing past the boot log
+            baseline = inline.execute([dict(r) for r in probe])
+            assert [_strip_cached(e) for e in baseline] == [
+                _strip_cached(e) for e in scaled
+            ]
+            assert pool.stats()["mutations_logged"] == 25
+        finally:
+            pool.close()
+            inline.close()
+
+    def test_marks_survive_concurrent_mutations_from_many_threads(self):
+        """More workers than cores, clients racing, a short switch interval.
+
+        A worker that missed a log entry (a mark raised past what it
+        applied) would report a repeated generation on its next mutation
+        and a stale σ afterwards.
+        """
+        from concurrent.futures import ThreadPoolExecutor as Threads
+
+        rounds, clients = 40, 4
+        pool = ElasticPoolExecutor(min_workers=3, max_workers=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def client(c):
+                generations = []
+                for r in range(rounds):
+                    mutated, evaluated = pool.execute(
+                        [_mut(c * rounds + r), _ev("Sim" if r % 2 else "Cov")]
+                    )
+                    assert mutated["ok"] and evaluated["ok"]
+                    generations.append(mutated["result"]["generation"])
+                return generations
+
+            with Threads(max_workers=clients) as threads:
+                futures = [threads.submit(client, c) for c in range(clients)]
+                generations = [g for f in futures for g in f.result(timeout=120)]
+            total = rounds * clients
+            assert sorted(generations) == list(range(1, total + 1))
+            with Threads(max_workers=6) as threads:
+                follow = list(threads.map(
+                    lambda _: pool.execute([_ev("Sim")])[0], range(12)
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        inline = InlineExecutor()
+        try:
+            expected = inline.execute([_mut(i) for i in range(total)] + [_ev("Sim")])[-1]
+        finally:
+            inline.close()
+        assert {_strip_cached(e) for e in follow} == {_strip_cached(expected)}
 
 
 class TestScaling:

@@ -10,7 +10,9 @@ Each class pins one bug the service used to ship:
 * a ``Transfer-Encoding: chunked`` body was silently read as empty and
   surfaced as a misleading "needs a 'dataset' spec" 400;
 * the worker pool's ``close()`` called ``terminate()`` outright, killing
-  in-flight jobs an orderly shutdown should have drained.
+  in-flight jobs an orderly shutdown should have drained;
+* a SIGTERM'd ``repro serve --workers N`` exited without closing its
+  pool, leaving the workers orphaned and blocked on the job queue.
 
 The HTTP tests run against the front-end
 (:mod:`repro.service.async_server`), because the fixes are part of the
@@ -23,11 +25,16 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -341,3 +348,50 @@ class TestPoolShutdown:
 
         counters = current_telemetry().snapshot()["counters"]
         assert counters.get("pool.forced_terminations", 0) == 0
+
+
+def _process_group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestServeSignals:
+    """``repro serve`` drains its pool on SIGTERM exactly as on SIGINT."""
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_sigterm_leaves_no_pool_worker_behind(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_JOBS="1")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--workers", "2", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        pgid = server.pid
+        try:
+            line = server.stdout.readline()
+            assert "listening on " in line, line
+            url = line.split("listening on ", 1)[1].split()[0]
+            request = urllib.request.Request(
+                url + "/v1/evaluate",
+                data=json.dumps({k: v for k, v in EVALUATE.items() if k != "op"}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert json.loads(response.read())["ok"]  # the pool is up
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(30) == 0
+            deadline = time.monotonic() + 10
+            while _process_group_alive(pgid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _process_group_alive(pgid), "pool workers outlived the server"
+        finally:
+            if server.poll() is None or _process_group_alive(pgid):
+                try:
+                    os.killpg(pgid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                server.wait(30)
+            server.stdout.close()
